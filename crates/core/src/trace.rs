@@ -555,8 +555,8 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Discards the span without recording it — for call sites that only
-    /// know in hindsight that nothing happened (e.g. a pump dispatch
-    /// that found every queue empty). Child spans opened while the guard
+    /// know in hindsight that nothing happened (e.g. a fleet push that
+    /// crossed a window boundary but emitted no window). Child spans opened while the guard
     /// was live keep their parent link; only this span's own record is
     /// dropped.
     pub fn cancel(mut self) {

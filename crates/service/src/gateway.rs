@@ -11,19 +11,20 @@
 //!   wait on analysis);
 //! * the **pump** moves queued samples into the [`FleetScheduler`]
 //!   (external-ingest mode, kernels from the shared
-//!   [`hrv_core::KernelCache`]) and performs the shutdown drain, waking
-//!   the shards when the final reports are published so parked
-//!   `Shutdown` connections get their `ShutdownAck` event-driven, never
-//!   by polling.
+//!   [`hrv_core::KernelCache`]) and performs the shutdown drain. It
+//!   parks on the session table's ready list — woken when a queue turns
+//!   non-empty or the drain begins — and wakes the shards when the final
+//!   reports are published, so parked `Shutdown` connections get their
+//!   `ShutdownAck` event-driven. Neither side polls.
 //!
 //! Lock discipline: whenever session queues are *drained into the
 //! fleet*, the fleet lock is taken **before** the session lock, and the
 //! samples move inside that critical section — so two drainers can never
 //! reorder one stream's samples. Queue *appends* (reactor shards) only
 //! take the session lock, which is also where the "still admitting?"
-//! check lives; after the drain pass observes `STATE_DRAINING` and empty
-//! queues, no sample can exist outside the fleet, making the final
-//! per-stream reports complete.
+//! check lives; once the pump observes `STATE_DRAINING` and an empty
+//! ready list under that lock, no sample can exist outside the fleet,
+//! making the final per-stream reports complete.
 
 use crate::client::ServiceClient;
 use crate::error::ServiceError;
@@ -44,6 +45,11 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
+
+/// Samples the pump moves from one session per pass before the session
+/// goes to the back of the ready list — the fairness cap that keeps one
+/// deep queue from starving the others.
+const PUMP_BATCH: usize = 512;
 
 /// Hard ceiling on [`SessionConfig::max_sessions`], chosen so the
 /// `ShutdownAck` frame carrying every stream's final report stays under
@@ -74,10 +80,6 @@ pub struct GatewayConfig {
     /// the backlog — a client that stops reading cannot grow gateway
     /// memory without bound.
     pub write_buffer: usize,
-    /// Pump sleep when every queue was empty.
-    pub pump_idle: Duration,
-    /// Samples the pump moves per session per pass.
-    pub drain_batch: usize,
     /// Maximum concurrent connections across all reactor shards. A
     /// connection accepted at the cap is closed immediately after a
     /// best-effort typed refusal — connections, like queues, never grow
@@ -106,8 +108,6 @@ impl Default for GatewayConfig {
             session: SessionConfig::default(),
             reactors: 2,
             write_buffer: 256 * 1024,
-            pump_idle: Duration::from_millis(1),
-            drain_batch: 512,
             max_connections: 256,
             tracer: Tracer::disabled(),
             health: HealthConfig::default(),
@@ -151,6 +151,20 @@ struct Shared {
 }
 
 impl Shared {
+    /// Begins the drain (idempotent) and wakes everything that must see
+    /// it: the pump out of its ready-list wait, the shards out of
+    /// `epoll_wait`.
+    fn begin_drain(&self) {
+        let _ = self.state.compare_exchange(
+            STATE_RUNNING,
+            STATE_DRAINING,
+            Ordering::SeqCst,
+            Ordering::SeqCst,
+        );
+        self.sessions.notify_state_change();
+        self.wake_shards();
+    }
+
     /// Interrupts every shard's `epoll_wait` so a state transition is
     /// observed now, not at the next timeout tick.
     fn wake_shards(&self) {
@@ -275,10 +289,9 @@ impl Gateway {
         });
         let pump = {
             let shared = Arc::clone(&shared);
-            let (drain_batch, idle) = (config.drain_batch.max(1), config.pump_idle);
             thread::Builder::new()
                 .name("hrv-service-pump".into())
-                .spawn(move || pump_loop(&shared, drain_batch, idle))?
+                .spawn(move || pump_loop(&shared))?
         };
         let reactor_config = ReactorConfig {
             max_connections: config.max_connections.max(1),
@@ -367,13 +380,7 @@ impl GatewayHandle {
     ///
     /// Returns [`ServiceError::Io`] when a service thread panicked.
     pub fn shutdown(mut self) -> Result<Vec<StreamReport>, ServiceError> {
-        let _ = self.shared.state.compare_exchange(
-            STATE_RUNNING,
-            STATE_DRAINING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        self.shared.wake_shards();
+        self.shared.begin_drain();
         self.join()?;
         let reports = lock_unpoisoned(&self.shared.final_reports).clone();
         reports.ok_or_else(|| ServiceError::Io("gateway drained without reports".into()))
@@ -409,13 +416,7 @@ impl GatewayHandle {
 
 impl Drop for GatewayHandle {
     fn drop(&mut self) {
-        let _ = self.shared.state.compare_exchange(
-            STATE_RUNNING,
-            STATE_DRAINING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        self.shared.wake_shards();
+        self.shared.begin_drain();
         let _ = self.join();
     }
 }
@@ -452,13 +453,7 @@ impl ShardService for Shared {
                 // Begin the drain and park the connection: the reactor
                 // delivers the ShutdownAck once the pump publishes the
                 // final reports (see the shard drain epilogue).
-                let _ = self.state.compare_exchange(
-                    STATE_RUNNING,
-                    STATE_DRAINING,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-                self.wake_shards();
+                self.begin_drain();
                 return ServeOutcome::ShutdownPending;
             }
             Ok(request) => {
@@ -549,7 +544,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
         },
         Request::ReadReport { stream } => {
             let mut fleet = lock_unpoisoned(&shared.fleet);
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
+            drain_session(shared, &mut fleet, stream);
             match fleet.stream_report(stream as usize) {
                 Ok(report) => Reply::Report(report),
                 Err(err) => Reply::Error(err.into()),
@@ -559,7 +554,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             let mut fleet = lock_unpoisoned(&shared.fleet);
             // Drain first so the switch applies after the samples the
             // client already pushed, not in the middle of them.
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
+            drain_session(shared, &mut fleet, stream);
             match fleet.set_stream_mode(stream as usize, mode) {
                 Ok(backend) => Reply::QualitySet { stream, backend },
                 Err(err) => Reply::Error(err.into()),
@@ -576,7 +571,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             let mut fleet = lock_unpoisoned(&shared.fleet);
             // Drain first so the governor takes over after the samples
             // the client already pushed, not in the middle of them.
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
+            drain_session(shared, &mut fleet, stream);
             match fleet.set_stream_budget(stream as usize, budget) {
                 Ok(backend) => Reply::BudgetSet { stream, backend },
                 Err(err) => Reply::Error(err.into()),
@@ -584,7 +579,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
         }
         Request::ReadBudget { stream } => {
             let mut fleet = lock_unpoisoned(&shared.fleet);
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
+            drain_session(shared, &mut fleet, stream);
             match fleet.stream_budget(stream as usize) {
                 Ok(status) => Reply::Budget(status),
                 Err(err) => Reply::Error(err.into()),
@@ -612,13 +607,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
         // direct caller: initiating the drain twice is harmless and the
         // typed reply says what to expect instead.
         Request::Shutdown => {
-            let _ = shared.state.compare_exchange(
-                STATE_RUNNING,
-                STATE_DRAINING,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            shared.wake_shards();
+            shared.begin_drain();
             Reply::Error(ServiceError::ShuttingDown)
         }
     }
@@ -709,7 +698,7 @@ fn read_health(shared: &Shared) -> HealthSnapshot {
 fn read_events(shared: &Shared, stream: u64) -> Result<Vec<EventRecord>, ServiceError> {
     let fleet_events = {
         let mut fleet = lock_unpoisoned(&shared.fleet);
-        drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
+        drain_session(shared, &mut fleet, stream);
         fleet.stream_events(stream as usize)
     };
     let mut events = shared.sessions.events(stream)?;
@@ -750,46 +739,45 @@ fn close_stream(shared: &Shared, stream: u64) -> Result<StreamReport, ServiceErr
         .map_err(ServiceError::from)
 }
 
-/// Moves up to `max` queued samples of one session into the fleet,
-/// staging them in `batch` (cleared here; pass a reusable buffer on hot
-/// paths). The caller holds the fleet lock, so concurrent drainers
-/// cannot reorder a stream's samples. Returns the number moved.
-///
-/// Dispatch is timed here — histogram + `pump_dispatch` span — rather
-/// than in the pump loop, because read-style requests (`ReadReport`,
-/// `SetQuality`, …) drain inline on reactor shards for read-your-writes
-/// semantics; whichever thread moves the samples owns the latency.
-/// Empty drains cancel the span so idle pump sweeps don't dominate
-/// traces.
-fn drain_session(
+/// Moves every queued sample of one session into the fleet — the
+/// inline drain read-style requests (`ReadReport`, `SetQuality`, …) run
+/// on reactor shards for read-your-writes semantics. The caller holds
+/// the fleet lock, so concurrent drainers cannot reorder a stream's
+/// samples.
+fn drain_session(shared: &Shared, fleet: &mut FleetScheduler, stream: u64) {
+    let started = Instant::now();
+    let mut batch = Vec::new();
+    if shared.sessions.take_batch(stream, usize::MAX, &mut batch) > 0 {
+        dispatch(shared, fleet, stream, &batch, started);
+    }
+}
+
+/// Pushes one session's taken, non-empty batch into the fleet. Dispatch
+/// is timed here (histogram from `started`, before the take, plus a
+/// `pump_dispatch` span) rather than in the pump loop, because inline
+/// drains dispatch too: whichever thread moves the samples owns the
+/// latency.
+fn dispatch(
     shared: &Shared,
     fleet: &mut FleetScheduler,
     stream: u64,
-    max: usize,
-    batch: &mut Vec<(f64, f64)>,
-) -> usize {
-    let span = shared.tracer.span("pump_dispatch");
-    let started = Instant::now();
-    batch.clear();
-    let n = shared.sessions.take_batch(stream, max, batch);
-    if n > 0 {
-        // Invariant: a queued sample implies its fleet stream exists —
-        // both are registered and removed under the fleet lock the
-        // caller holds. The gate count is ignored deliberately (the
-        // fleet's ingest re-checks the same rules that admitted the
-        // samples); a missing stream, by contrast, would be silent data
-        // loss and must fail loudly.
-        fleet
-            .push_rr_batch(stream as usize, batch)
-            // analyze::allow(panic-free-wire): a missing stream here is silent data loss — registration and removal both happen under the fleet lock this caller holds, so this is unreachable without memory corruption
-            .expect("queued samples for a stream absent from the fleet");
-        shared
-            .pump_dispatch_hist
-            .observe_duration(started.elapsed());
-    } else {
-        span.cancel();
-    }
-    n
+    batch: &[(f64, f64)],
+    started: Instant,
+) {
+    let _span = shared.tracer.span("pump_dispatch");
+    // Invariant: a queued sample implies its fleet stream exists — both
+    // are registered and removed under the fleet lock the caller holds.
+    // The gate count is ignored deliberately (the fleet's ingest
+    // re-checks the same rules that admitted the samples); a missing
+    // stream, by contrast, would be silent data loss and must fail
+    // loudly.
+    fleet
+        .push_rr_batch(stream as usize, batch)
+        // analyze::allow(panic-free-wire): a missing stream here is silent data loss — registration and removal both happen under the fleet lock this caller holds, so this is unreachable without memory corruption
+        .expect("queued samples for a stream absent from the fleet");
+    shared
+        .pump_dispatch_hist
+        .observe_duration(started.elapsed());
 }
 
 /// Moves STATE to DONE even when the pump unwinds — and wakes the
@@ -804,43 +792,38 @@ impl Drop for PumpDoneGuard<'_> {
     }
 }
 
-/// The analysis pump: moves queued samples into the fleet while the
-/// gateway runs, then performs the shutdown drain.
-fn pump_loop(shared: &Arc<Shared>, drain_batch: usize, idle: Duration) {
+/// The analysis pump: parks until a session is ready, moves up to
+/// [`PUMP_BATCH`] of its samples into the fleet, and repeats; once the
+/// drain has begun and nothing is left ready, performs the shutdown
+/// drain.
+fn pump_loop(shared: &Arc<Shared>) {
     let done_guard = PumpDoneGuard(shared);
-    let mut batch = Vec::with_capacity(drain_batch);
-    loop {
-        let state = shared.state.load(Ordering::SeqCst);
-        let mut moved = 0usize;
-        {
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            for id in shared.sessions.ids() {
-                moved += drain_session(shared, &mut fleet, id, drain_batch, &mut batch);
-            }
-        }
-        if state == STATE_DRAINING && moved == 0 {
-            // `STATE_DRAINING` was visible before this (empty) sweep, so
-            // every admission since has been refused and every queue is
-            // drained: the fleet now holds all samples that will ever
-            // arrive. Flush trailing windows, publish final telemetry
-            // (before `close_all` empties the fleet), then take reports.
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            fleet.finish();
-            fleet.report().publish(&shared.telemetry);
-            fleet.kernel_cache().publish(&shared.telemetry);
-            let reports = fleet.close_all();
-            shared.sessions.close_all();
-            *lock_unpoisoned(&shared.final_reports) = Some(reports);
-            // The guard flips STATE to DONE and wakes the shards — here
-            // on the normal path, and equally during unwind if anything
-            // above panicked.
-            drop(done_guard);
-            return;
-        }
-        if moved == 0 {
-            thread::sleep(idle);
+    let mut batch = Vec::with_capacity(PUMP_BATCH);
+    while shared.sessions.wait_ready() {
+        let mut fleet = lock_unpoisoned(&shared.fleet);
+        let started = Instant::now();
+        batch.clear();
+        // An inline drain may have emptied the list since the wait.
+        if let Some(id) = shared.sessions.take_ready(PUMP_BATCH, &mut batch) {
+            dispatch(shared, &mut fleet, id, &batch, started);
         }
     }
+    // The wait saw `STATE_DRAINING` and an empty ready list under the
+    // session lock, so every admission since has been refused and every
+    // queue is empty; inline drainers hold the fleet lock taken below
+    // until their samples are in. The fleet now holds all samples that
+    // will ever arrive. Flush trailing windows, publish final telemetry
+    // (before `close_all` empties the fleet), then take reports.
+    let mut fleet = lock_unpoisoned(&shared.fleet);
+    fleet.finish();
+    fleet.report().publish(&shared.telemetry);
+    fleet.kernel_cache().publish(&shared.telemetry);
+    let reports = fleet.close_all();
+    shared.sessions.close_all();
+    *lock_unpoisoned(&shared.final_reports) = Some(reports);
+    // The guard flips STATE to DONE and wakes the shards — here on the
+    // normal path, and equally during unwind if anything above panicked.
+    drop(done_guard);
 }
 
 #[cfg(test)]

@@ -13,6 +13,11 @@
 //! Backpressure is strict: a batch that does not fit the remaining queue
 //! capacity is refused whole with [`ServiceError::Busy`] — the queue
 //! never grows past its bound, whatever a client sends.
+//!
+//! Readiness is pushed, not polled: the table keeps a *ready list* of
+//! the sessions whose queue is non-empty, under the same lock as the
+//! queues, and the analysis pump parks on a condition variable until the
+//! list has work or the gateway stops admitting.
 
 use crate::error::ServiceError;
 use crate::proto::Pushed;
@@ -21,7 +26,7 @@ use hrv_delineate::{BeatOutcome, StreamingRrFilter};
 use hrv_stream::{EventJournal, EventRecord, StreamEvent, EVENT_JOURNAL_CAPACITY};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Gateway lifecycle: accepting work.
@@ -69,6 +74,16 @@ struct Session {
     journal: EventJournal,
 }
 
+/// The open sessions and the ready list, guarded together so a queue's
+/// emptiness and its listing can never disagree: an id is in `ready`
+/// exactly while its queue is non-empty, once, in the order the queues
+/// became non-empty.
+#[derive(Debug, Default)]
+struct Sessions {
+    open: BTreeMap<u64, Session>,
+    ready: VecDeque<u64>,
+}
+
 /// The admission-controlled session store; see the module docs.
 ///
 /// All methods take `&self`; the table is internally locked and is the
@@ -80,7 +95,10 @@ pub(crate) struct SessionTable {
     config: SessionConfig,
     state: Arc<AtomicU8>,
     telemetry: Telemetry,
-    inner: Mutex<BTreeMap<u64, Session>>,
+    inner: Mutex<Sessions>,
+    /// Signalled when the ready list gains an id and on lifecycle
+    /// changes; the pump waits on it in [`SessionTable::wait_ready`].
+    ready_cv: Condvar,
     open_gauge: Gauge,
     accepted_total: Counter,
     gated_total: Counter,
@@ -114,7 +132,8 @@ impl SessionTable {
             config,
             state,
             telemetry,
-            inner: Mutex::new(BTreeMap::new()),
+            inner: Mutex::new(Sessions::default()),
+            ready_cv: Condvar::new(),
             open_gauge,
             accepted_total,
             gated_total,
@@ -133,8 +152,9 @@ impl SessionTable {
 
     /// Admits a new session.
     pub(crate) fn open(&self, id: u64) -> Result<(), ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
+        let mut guard = lock_unpoisoned(&self.inner);
         self.admitting()?;
+        let sessions = &mut guard.open;
         if sessions.contains_key(&id) {
             return Err(ServiceError::DuplicateStream(id));
         }
@@ -172,11 +192,10 @@ impl SessionTable {
     /// refuse the batch with `Busy` when the admissible part does not fit
     /// the queue, else append it.
     pub(crate) fn push_rr(&self, id: u64, samples: &[(f64, f64)]) -> Result<Pushed, ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
+        let mut guard = lock_unpoisoned(&self.inner);
         self.admitting()?;
-        let session = sessions
-            .get_mut(&id)
-            .ok_or(ServiceError::UnknownStream(id))?;
+        let Sessions { open, ready } = &mut *guard;
+        let session = open.get_mut(&id).ok_or(ServiceError::UnknownStream(id))?;
         // Pass 1 (pure): how many samples would the gate admit?
         let mut admissible = 0usize;
         let mut last = session.last_time;
@@ -197,10 +216,13 @@ impl SessionTable {
             }
         }
         debug_assert_eq!(accepted as usize, admissible);
-        if accepted > 0 && session.queued_since.is_none() {
-            session.queued_since = Some(Instant::now());
-        }
-        Ok(self.pushed(id, session, accepted, samples.len() as u32 - accepted))
+        Ok(self.pushed(
+            ready,
+            id,
+            session,
+            accepted,
+            samples.len() as u32 - accepted,
+        ))
     }
 
     /// Raw beat-time batch admission (delineate's [`StreamingRrFilter`]).
@@ -209,11 +231,10 @@ impl SessionTable {
     /// leaves the filter chain untouched and the retried batch replays
     /// identically.
     pub(crate) fn push_beats(&self, id: u64, beats: &[f64]) -> Result<Pushed, ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
+        let mut guard = lock_unpoisoned(&self.inner);
         self.admitting()?;
-        let session = sessions
-            .get_mut(&id)
-            .ok_or(ServiceError::UnknownStream(id))?;
+        let Sessions { open, ready } = &mut *guard;
+        let session = open.get_mut(&id).ok_or(ServiceError::UnknownStream(id))?;
         self.check_capacity(id, session, beats.len())?;
         let mut accepted = 0u32;
         for &t in beats {
@@ -230,10 +251,7 @@ impl SessionTable {
                 accepted += 1;
             }
         }
-        if accepted > 0 && session.queued_since.is_none() {
-            session.queued_since = Some(Instant::now());
-        }
-        Ok(self.pushed(id, session, accepted, beats.len() as u32 - accepted))
+        Ok(self.pushed(ready, id, session, accepted, beats.len() as u32 - accepted))
     }
 
     fn check_capacity(
@@ -259,7 +277,22 @@ impl SessionTable {
         Ok(())
     }
 
-    fn pushed(&self, id: u64, session: &mut Session, accepted: u32, gated: u32) -> Pushed {
+    /// Books an admitted batch. On the queue's empty→non-empty
+    /// transition it arms the head-of-line timer, lists the session ready
+    /// and wakes the pump.
+    fn pushed(
+        &self,
+        ready: &mut VecDeque<u64>,
+        id: u64,
+        session: &mut Session,
+        accepted: u32,
+        gated: u32,
+    ) -> Pushed {
+        if accepted > 0 && session.queued_since.is_none() {
+            session.queued_since = Some(Instant::now());
+            ready.push_back(id);
+            self.ready_cv.notify_one();
+        }
         self.accepted_total.add(u64::from(accepted));
         self.gated_total.add(u64::from(gated));
         session.depth_gauge.set(session.queue.len() as f64);
@@ -277,18 +310,17 @@ impl SessionTable {
     /// The gateway-side event journal of session `id`, oldest first.
     pub(crate) fn events(&self, id: u64) -> Result<Vec<EventRecord>, ServiceError> {
         let sessions = lock_unpoisoned(&self.inner);
-        let session = sessions.get(&id).ok_or(ServiceError::UnknownStream(id))?;
+        let session = sessions
+            .open
+            .get(&id)
+            .ok_or(ServiceError::UnknownStream(id))?;
         Ok(session.journal.events())
-    }
-
-    /// Open session ids, ascending.
-    pub(crate) fn ids(&self) -> Vec<u64> {
-        lock_unpoisoned(&self.inner).keys().copied().collect()
     }
 
     /// `(id, queue depth)` of every open session, id-ascending.
     pub(crate) fn queue_depths(&self) -> Vec<(u64, u32)> {
         lock_unpoisoned(&self.inner)
+            .open
             .iter()
             .map(|(&id, session)| (id, session.queue.len() as u32))
             .collect()
@@ -297,35 +329,88 @@ impl SessionTable {
     /// Moves up to `max` queued samples of session `id` into `out`.
     /// Returns the number moved (0 for an unknown/empty session).
     pub(crate) fn take_batch(&self, id: u64, max: usize, out: &mut Vec<(f64, f64)>) -> usize {
+        self.take(&mut lock_unpoisoned(&self.inner), id, max, out)
+    }
+
+    /// Moves up to `max` queued samples of the longest-listed ready
+    /// session into `out` and returns its id (`None` when nothing is
+    /// ready). A session with samples left behind goes to the back of the
+    /// list, so one deep queue cannot starve the others.
+    pub(crate) fn take_ready(&self, max: usize, out: &mut Vec<(f64, f64)>) -> Option<u64> {
         let mut sessions = lock_unpoisoned(&self.inner);
-        let Some(session) = sessions.get_mut(&id) else {
+        let id = *sessions.ready.front()?;
+        self.take(&mut sessions, id, max, out);
+        Some(id)
+    }
+
+    fn take(
+        &self,
+        sessions: &mut Sessions,
+        id: u64,
+        max: usize,
+        out: &mut Vec<(f64, f64)>,
+    ) -> usize {
+        let Sessions { open, ready } = sessions;
+        let Some(session) = open.get_mut(&id) else {
             return 0;
         };
         let n = session.queue.len().min(max);
+        if n == 0 {
+            return 0;
+        }
         out.extend(session.queue.drain(..n));
         session.depth_gauge.set(session.queue.len() as f64);
-        if n > 0 {
-            if let Some(since) = session.queued_since.take() {
-                self.queue_wait_hist.observe_duration(since.elapsed());
-            }
-            if !session.queue.is_empty() {
-                // Samples survived the drain — the new head starts its
-                // wait now (per-dispatch head-of-line wait, not age).
-                session.queued_since = Some(Instant::now());
-            }
+        if let Some(since) = session.queued_since.take() {
+            self.queue_wait_hist.observe_duration(since.elapsed());
+        }
+        delist(ready, id);
+        if !session.queue.is_empty() {
+            // Samples survived the drain — the new head starts its wait
+            // now (per-dispatch head-of-line wait, not age).
+            session.queued_since = Some(Instant::now());
+            ready.push_back(id);
         }
         n
+    }
+
+    /// Blocks until a session is ready (`true`), or until the gateway
+    /// stops admitting while nothing is ready (`false`: every admitted
+    /// sample has been taken, and no more can arrive).
+    pub(crate) fn wait_ready(&self) -> bool {
+        let mut sessions = lock_unpoisoned(&self.inner);
+        loop {
+            if !sessions.ready.is_empty() {
+                return true;
+            }
+            if self.admitting().is_err() {
+                return false;
+            }
+            sessions = self
+                .ready_cv
+                .wait(sessions)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Wakes [`SessionTable::wait_ready`] after a lifecycle change. The
+    /// lock is taken before notifying, so a waiter is either before its
+    /// state check (and sees the change) or already waiting (and is
+    /// woken) — the change cannot slip between the two.
+    pub(crate) fn notify_state_change(&self) {
+        let _sessions = lock_unpoisoned(&self.inner);
+        self.ready_cv.notify_all();
     }
 
     /// Removes every session (shutdown epilogue: queues are already
     /// drained) and retires their telemetry series.
     pub(crate) fn close_all(&self) {
         let mut sessions = lock_unpoisoned(&self.inner);
-        for id in sessions.keys() {
+        for id in sessions.open.keys() {
             self.telemetry
                 .remove_series("hrv_session_queue_depth", &[("stream", &id.to_string())]);
         }
-        sessions.clear();
+        sessions.open.clear();
+        sessions.ready.clear();
         self.open_gauge.set(0.0);
     }
 
@@ -334,12 +419,25 @@ impl SessionTable {
     pub(crate) fn close(&self, id: u64) -> Result<Vec<(f64, f64)>, ServiceError> {
         let mut sessions = lock_unpoisoned(&self.inner);
         let session = sessions
+            .open
             .remove(&id)
             .ok_or(ServiceError::UnknownStream(id))?;
-        self.open_gauge.set(sessions.len() as f64);
+        if !session.queue.is_empty() {
+            delist(&mut sessions.ready, id);
+        }
+        self.open_gauge.set(sessions.open.len() as f64);
         self.telemetry
             .remove_series("hrv_session_queue_depth", &[("stream", &id.to_string())]);
         Ok(session.queue.into_iter().collect())
+    }
+}
+
+/// Takes `id` off the ready list. The list holds only sessions with
+/// queued samples, so the scan is short; the pump's own takes find the id
+/// at the front.
+fn delist(ready: &mut VecDeque<u64>, id: u64) {
+    if let Some(pos) = ready.iter().position(|&listed| listed == id) {
+        ready.remove(pos);
     }
 }
 
@@ -379,11 +477,11 @@ mod tests {
             table.open(3).unwrap_err(),
             ServiceError::SessionLimit { max: 2 }
         );
-        assert_eq!(table.ids().len(), 2);
+        assert_eq!(table.queue_depths().len(), 2);
         // Closing frees a slot.
         table.close(1).expect("close");
         table.open(3).expect("freed slot");
-        assert_eq!(table.ids(), vec![2, 3]);
+        assert_eq!(table.queue_depths(), vec![(2, 0), (3, 0)]);
     }
 
     #[test]
@@ -526,6 +624,82 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(table.take_batch(1, 8, &mut out), 0);
         assert_eq!(table.close(1).expect("close"), Vec::new());
+    }
+
+    fn ready_ids(table: &SessionTable) -> Vec<u64> {
+        lock_unpoisoned(&table.inner)
+            .ready
+            .iter()
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn ready_list_tracks_exactly_the_non_empty_queues() {
+        let table = table(8, 64);
+        for id in 1..=3 {
+            table.open(id).expect("open");
+        }
+        assert!(ready_ids(&table).is_empty(), "opening queues nothing");
+        // Listed once per empty→non-empty transition, in arrival order.
+        table.push_rr(2, &[(1.0, 0.8)]).expect("push");
+        table.push_rr(1, &[(1.0, 0.8), (2.0, 0.8)]).expect("push");
+        table.push_rr(2, &[(2.0, 0.8)]).expect("push");
+        table
+            .push_beats(3, &[0.0])
+            .expect("anchor beat queues nothing");
+        assert_eq!(ready_ids(&table), vec![2, 1]);
+        // A partial take re-lists the session at the back.
+        let mut out = Vec::new();
+        assert_eq!(table.take_ready(1, &mut out), Some(2));
+        assert_eq!(out, vec![(1.0, 0.8)]);
+        assert_eq!(ready_ids(&table), vec![1, 2]);
+        // A take that empties the queue delists it.
+        out.clear();
+        assert_eq!(table.take_ready(8, &mut out), Some(1));
+        assert_eq!(out.len(), 2);
+        assert_eq!(ready_ids(&table), vec![2]);
+        // Inline drains and closes leave no work behind.
+        table.push_rr(1, &[(3.0, 0.8)]).expect("push");
+        table.push_rr(3, &[(1.0, 0.8)]).expect("push");
+        assert_eq!(ready_ids(&table), vec![2, 1, 3]);
+        assert_eq!(table.take_batch(2, usize::MAX, &mut out), 1);
+        assert_eq!(table.close(3).expect("close"), vec![(1.0, 0.8)]);
+        assert_eq!(ready_ids(&table), vec![1]);
+        assert_eq!(table.take_batch(1, usize::MAX, &mut out), 1);
+        assert!(ready_ids(&table).is_empty());
+        assert_eq!(table.take_ready(8, &mut out), None);
+        assert_eq!(table.take_batch(1, usize::MAX, &mut out), 0);
+    }
+
+    #[test]
+    fn ready_wait_returns_on_work_or_on_a_state_change() {
+        let state = Arc::new(AtomicU8::new(STATE_RUNNING));
+        let table = SessionTable::new(SessionConfig::default(), Telemetry::new(), state.clone());
+        table.open(1).expect("open");
+        table.push_rr(1, &[(1.0, 0.8)]).expect("push");
+        assert!(table.wait_ready(), "a listed session wakes the wait");
+        let mut out = Vec::new();
+        assert_eq!(table.take_ready(8, &mut out), Some(1));
+        std::thread::scope(|scope| {
+            // Nothing is ready, so the waiter parks (the pause only makes
+            // that likely); parked or not, the state change must end the
+            // wait with `false`.
+            let waiter = scope.spawn(|| table.wait_ready());
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            state.store(STATE_DRAINING, Ordering::SeqCst);
+            table.notify_state_change();
+            assert!(!waiter.join().expect("waiter"), "drain with nothing ready");
+        });
+        // Still-listed work is handed out after the drain begins.
+        let table = SessionTable::new(SessionConfig::default(), Telemetry::new(), state.clone());
+        state.store(STATE_RUNNING, Ordering::SeqCst);
+        table.open(1).expect("open");
+        table.push_rr(1, &[(1.0, 0.8)]).expect("push");
+        state.store(STATE_DRAINING, Ordering::SeqCst);
+        assert!(table.wait_ready());
+        assert_eq!(table.take_ready(8, &mut out), Some(1));
+        assert!(!table.wait_ready());
     }
 
     #[test]

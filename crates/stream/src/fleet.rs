@@ -677,6 +677,68 @@ fn account_windows<'a>(
     }
 }
 
+/// Runs one engine call (`push` or `finish`, via `step`) through the
+/// shared window-accounting sink. With observability wired (`timed`),
+/// the call is timed into the stream's cached (kernel, rail) histogram
+/// and wrapped in a `window_compute` span — both only when it actually
+/// emitted a window, so `_count` equals the number of emitting calls.
+fn compute_windows(
+    patient: &mut PatientStream,
+    timed: Option<&FleetInstruments>,
+    detector: ArrhythmiaDetector,
+    profile: &CostProfile,
+    step: impl FnOnce(&mut SlidingLomb, &mut dyn FnMut(&WindowView<'_>)),
+) -> SinkOutcome {
+    let windows_before = patient.windows;
+    // Refresh the cached histogram handle before the call; directives
+    // switch backends only after the windows they observed, so the label
+    // pair in force during the compute is the pre-call one.
+    let compute = timed.map(|ins| {
+        refresh_compute_hist(patient, ins);
+        (Instant::now(), ins.tracer.span("window_compute"))
+    });
+    let PatientStream {
+        engine,
+        governor,
+        opp,
+        energy_j,
+        battery,
+        windows,
+        arrhythmia_windows,
+        ops,
+        ..
+    } = &mut *patient;
+    let mut outcome = SinkOutcome::default();
+    let mut sink = account_windows(
+        WindowAccounting {
+            windows,
+            ops,
+            arrhythmia_windows,
+            energy_j,
+            battery: battery.as_mut(),
+            governor: governor.as_mut(),
+            governor_hist: timed.map(|ins| &ins.governor_hist),
+        },
+        detector,
+        profile,
+        *opp,
+        &mut outcome,
+    );
+    step(engine, &mut sink);
+    drop(sink);
+    if let Some((started, span)) = compute {
+        if patient.windows == windows_before {
+            span.cancel();
+        } else {
+            drop(span);
+            if let Some((_, _, hist)) = &patient.compute_hist {
+                hist.observe_duration(started.elapsed());
+            }
+        }
+    }
+    outcome
+}
+
 /// Drains one patient's ingest ring through its engine, applying
 /// governor directives per window. Both feed paths converge here — the
 /// preloaded-cohort loop (`advance_shard`) and the external-ingest hooks
@@ -693,71 +755,23 @@ fn pump_patient(
         // Observability gate: pay clock reads (and a span) only for a
         // push that crosses a window boundary — non-emitting pushes, the
         // vast majority, cost two f64 compares on top of the plain path.
-        let windows_before = patient.windows;
         let timed = instruments.filter(|_| patient.engine.will_emit(t));
-        let (compute_started, compute_span) = match timed {
-            Some(ins) => {
-                // Refresh the cached (kernel, rail) histogram handle
-                // before the push; directives switch backends only after
-                // the windows they observed, so the label pair in force
-                // during the compute is the pre-push one.
-                refresh_compute_hist(patient, ins);
-                (
-                    Some(Instant::now()),
-                    Some(ins.tracer.span("window_compute")),
-                )
-            }
-            None => (None, None),
-        };
+        let outcome = compute_windows(patient, timed, detector, profile, |engine, sink| {
+            engine.push(t, rr, scratch, sink);
+        });
         let PatientStream {
             engine,
             governor,
             choice_backends,
             exact_index,
             opp,
-            energy_j,
             battery,
             windows,
-            arrhythmia_windows,
-            ops,
-            compute_hist: cached_hist,
             journal,
             budget_exhausted,
             battery_low,
             ..
-        } = patient;
-        let mut outcome = SinkOutcome::default();
-        {
-            let mut sink = account_windows(
-                WindowAccounting {
-                    windows: &mut *windows,
-                    ops,
-                    arrhythmia_windows,
-                    energy_j,
-                    battery: battery.as_mut(),
-                    governor: governor.as_mut(),
-                    governor_hist: timed.map(|ins| &ins.governor_hist),
-                },
-                detector,
-                profile,
-                *opp,
-                &mut outcome,
-            );
-            engine.push(t, rr, scratch, &mut sink);
-        }
-        // A boundary-crossing push can still emit nothing (skip rules);
-        // only real window computes are timed, so `_count` equals the
-        // number of emitting pushes — a span/sample per computed batch.
-        let emitted = *windows > windows_before;
-        match (compute_span, emitted) {
-            (Some(span), false) => span.cancel(),
-            (span, _) => drop(span),
-        }
-        if emitted {
-            if let (Some(started), Some((_, _, hist))) = (compute_started, cached_hist.as_ref()) {
-                hist.observe_duration(started.elapsed());
-            }
-        }
+        } = &mut *patient;
         if let Some(directive) = outcome.directive {
             let before = (engine.active_backend_index(), opp.voltage.to_bits());
             apply_choice(engine, directive.choice, choice_backends, *exact_index);
@@ -842,68 +856,19 @@ fn finish_patient(
     profile: &CostProfile,
     instruments: Option<&FleetInstruments>,
 ) {
-    let windows_before = patient.windows;
-    let timed = instruments;
-    let (compute_started, compute_span) = match timed {
-        Some(ins) => {
-            refresh_compute_hist(patient, ins);
-            (
-                Some(Instant::now()),
-                Some(ins.tracer.span("window_compute")),
-            )
-        }
-        None => (None, None),
-    };
-    let PatientStream {
-        engine,
-        governor,
-        opp,
-        energy_j,
-        battery,
-        windows,
-        arrhythmia_windows,
-        ops,
-        compute_hist: cached_hist,
-        journal,
-        drained,
-        ..
-    } = patient;
-    let mut outcome = SinkOutcome::default();
-    {
-        let mut sink = account_windows(
-            WindowAccounting {
-                windows: &mut *windows,
-                ops,
-                arrhythmia_windows,
-                energy_j,
-                battery: battery.as_mut(),
-                governor: governor.as_mut(),
-                governor_hist: timed.map(|ins| &ins.governor_hist),
-            },
-            detector,
-            profile,
-            *opp,
-            &mut outcome,
-        );
-        engine.finish(scratch, &mut sink);
-    }
-    // Most streams have no trailing window to flush; time (and trace)
-    // only the finishes that actually computed one.
-    let emitted = *windows > windows_before;
-    match (compute_span, emitted) {
-        (Some(span), false) => span.cancel(),
-        (span, _) => drop(span),
-    }
-    if emitted {
-        if let (Some(started), Some((_, _, hist))) = (compute_started, cached_hist.as_ref()) {
-            hist.observe_duration(started.elapsed());
-        }
-    }
+    compute_windows(patient, instruments, detector, profile, |engine, sink| {
+        engine.finish(scratch, sink);
+    });
     // Record the drain exactly once — `finish` is idempotent and close
     // paths re-finish already-finished streams.
-    if !*drained {
-        *drained = true;
-        journal.record(*windows, StreamEvent::Drain { windows: *windows });
+    if !patient.drained {
+        patient.drained = true;
+        patient.journal.record(
+            patient.windows,
+            StreamEvent::Drain {
+                windows: patient.windows,
+            },
+        );
     }
 }
 
@@ -1058,6 +1023,14 @@ impl FleetScheduler {
         })
     }
 
+    /// The `(shard, position)` of open stream `id`.
+    fn locate(&self, id: usize) -> Result<(usize, usize), PsaError> {
+        self.index
+            .get(&id)
+            .copied()
+            .ok_or(PsaError::UnknownStream(id as u64))
+    }
+
     /// Registers a stream with preloaded samples (empty for external
     /// streams) on its stable shard.
     fn insert_stream(&mut self, id: usize, samples: Vec<(f64, f64)>) -> Result<(), PsaError> {
@@ -1136,10 +1109,7 @@ impl FleetScheduler {
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn push_rr_batch(&mut self, id: usize, samples: &[(f64, f64)]) -> Result<usize, PsaError> {
         let started = Instant::now();
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         let detector = self.detector;
         let mut accepted = 0usize;
         {
@@ -1170,10 +1140,7 @@ impl FleetScheduler {
         gate: impl FnOnce(&mut RrIngest) -> bool,
     ) -> Result<bool, PsaError> {
         let started = Instant::now();
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         let patient = &mut self.shards[shard].patients[pos];
         let accepted = gate(&mut patient.ingest);
         if accepted {
@@ -1211,10 +1178,7 @@ impl FleetScheduler {
             expected_savings_pct: 0.0,
         };
         let backend = self.cache.backend_for_choice(&self.plan, &choice)?;
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         let patient = &mut self.shards[shard].patients[pos];
         let index = patient
             .choice_backends
@@ -1252,10 +1216,7 @@ impl FleetScheduler {
     ///
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn stream_events(&self, id: usize) -> Result<Vec<EventRecord>, PsaError> {
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         Ok(self.shards[shard].patients[pos].journal.events())
     }
 
@@ -1266,10 +1227,7 @@ impl FleetScheduler {
     ///
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn stream_report(&self, id: usize) -> Result<StreamReport, PsaError> {
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         Ok(report_of(&self.shards[shard].patients[pos]))
     }
 
@@ -1293,10 +1251,7 @@ impl FleetScheduler {
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn close_stream(&mut self, id: usize) -> Result<StreamReport, PsaError> {
         let detector = self.detector;
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         let patient = &mut self.shards[shard].patients[pos];
         finish_patient(
             patient,
@@ -1514,10 +1469,7 @@ impl FleetScheduler {
         let shared = self.resolve_runnable(&Self::static_budget_choices());
         let exact = self.cache.exact(self.plan.fft_len());
         let candidates = self.budget_candidates(&shared, &exact);
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         let patient = &mut self.shards[shard].patients[pos];
         let governor = EnergyBudgetGovernor::new(
             candidates,
@@ -1543,10 +1495,7 @@ impl FleetScheduler {
     /// [`PsaError::InvalidConfig`] when the stream has no budget governor
     /// attached.
     pub fn stream_budget(&self, id: usize) -> Result<StreamBudgetStatus, PsaError> {
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
+        let (shard, pos) = self.locate(id)?;
         let patient = &self.shards[shard].patients[pos];
         let state = patient
             .governor

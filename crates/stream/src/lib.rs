@@ -14,15 +14,15 @@
 //!   weight half of the packed Fast-Lomb transform across windows (and a
 //!   half-length real FFT for the data half), so each window costs
 //!   measurably fewer operations than a from-scratch segment;
-//! * [`OnlineQualityController`] — re-selects the
-//!   `(ApproximationMode, PruningPolicy, VFS)` operating point per window
-//!   from a rolling, audit-fed distortion estimate, with dwell and
-//!   hysteresis so the configuration does not thrash;
 //! * [`FleetScheduler`] — multiplexes thousands of patient streams across
 //!   sharded scoped-thread workers (one scratch arena per worker, zero
 //!   steady-state allocations per window on the default exact-kernel
 //!   path) and reports aggregate throughput and energy via
-//!   `hrv-node-sim`.
+//!   `hrv-node-sim`. Per stream it can attach a governor from
+//!   `hrv-core`: [`hrv_core::DistortionGovernor`] re-selects the
+//!   `(ApproximationMode, PruningPolicy, VFS)` operating point per window
+//!   from a rolling, audit-fed distortion estimate, with dwell and
+//!   hysteresis so the configuration does not thrash.
 //!
 //! All kernels are planned and built through `hrv-core`'s shared
 //! execution layer ([`hrv_core::SpectralPlan`] + [`hrv_core::KernelCache`]):
@@ -62,14 +62,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
 mod fleet;
 mod ingest;
 mod journal;
 mod scratch;
 mod sliding;
 
-pub use controller::OnlineQualityController;
 pub use fleet::{
     cohort_member, BatteryStatus, FleetConfig, FleetReport, FleetScheduler, StreamBudget,
     StreamBudgetStatus, StreamReport, BATTERY_LOW_SOC,

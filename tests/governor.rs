@@ -1,6 +1,6 @@
 //! Governor-layer equivalence and budget-loop integration tests.
 //!
-//! The governance refactor (PR 5) extracted `OnlineQualityController`'s
+//! The governance refactor extracted the online quality controller's
 //! decision logic into `hrv_core::DistortionGovernor`. The contract is
 //! **decision identity**: the governor must reproduce the legacy
 //! controller's switch sequence bit for bit. The traces below were
@@ -17,7 +17,7 @@ use hrv_psa::core::{
     SweepResult, TradeoffPoint, WindowObservation,
 };
 use hrv_psa::prelude::*;
-use hrv_psa::stream::{FleetConfig, FleetScheduler, OnlineQualityController, StreamBudget};
+use hrv_psa::stream::{FleetConfig, FleetScheduler, StreamBudget};
 
 fn point(mode: ApproximationMode, err: f64, save: f64) -> TradeoffPoint {
     TradeoffPoint {
@@ -166,25 +166,6 @@ fn assert_trace(trace: &RecordedTrace) {
         governor.distortion_estimate_pct(),
         trace.estimate_pct
     );
-
-    // The streaming adapter, driven through its legacy API.
-    let mut controller = {
-        let mut ctrl =
-            OnlineQualityController::new(QualityController::from_sweep(&sweep(), true), trace.qdes)
-                .with_audit_period(trace.audit_every);
-        if let Some(dwell) = trace.dwell {
-            ctrl = ctrl.with_dwell(dwell);
-        }
-        if let Some(alpha) = trace.alpha {
-            ctrl = ctrl.with_ewma_alpha(alpha);
-        }
-        ctrl
-    };
-    let observed = replay(trace, controller.current(), |lf_hf, exact| {
-        controller.observe_window(lf_hf, exact)
-    });
-    assert_eq!(observed, trace.sequence, "adapter switch sequence");
-    assert_eq!(controller.switches(), trace.switches);
 }
 
 #[test]

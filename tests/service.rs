@@ -93,6 +93,69 @@ fn eight_concurrent_clients_drain_bit_identical_to_offline_fleet() {
 }
 
 #[test]
+fn shutdown_after_the_pump_parks_idle_returns_the_full_drain() {
+    const STREAMS: usize = 4;
+    const DURATION: f64 = 300.0;
+    let mut offline = FleetScheduler::new(
+        PsaConfig::conventional(),
+        FleetConfig {
+            streams: STREAMS,
+            duration: DURATION,
+            seed: SEED,
+            slice: 60.0,
+            workers: 1,
+        },
+    )
+    .expect("offline fleet");
+    offline.run();
+    let expected = offline.stream_reports();
+
+    let handle = Gateway::start(gateway_config(STREAMS, 1024, 1)).expect("gateway");
+    let mut client = handle.client().expect("client");
+    for id in 0..STREAMS as u64 {
+        client.open_stream(id).expect("open");
+        for chunk in member_samples(id as usize, DURATION).chunks(64) {
+            client
+                .push_rr_blocking(id, chunk, Duration::from_micros(200))
+                .expect("push");
+        }
+    }
+    // Let the pump empty every queue on its own (`ReadHealth` does not
+    // drain inline), then leave it parked with no traffic at all.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while client
+        .read_health()
+        .expect("health")
+        .streams
+        .iter()
+        .any(|s| s.queue_depth > 0)
+    {
+        assert!(std::time::Instant::now() < deadline, "pump never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(150));
+
+    // A lost wake-up would leave the pump parked forever and Shutdown
+    // unanswered, so the drain runs on a helper thread with a deadline.
+    // On a miss the handle is leaked: dropping it would join the parked
+    // pump and hang the test instead of failing it.
+    let (done, reports) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(client.shutdown());
+    });
+    let Ok(reports) = reports.recv_timeout(Duration::from_secs(30)) else {
+        std::mem::forget(handle);
+        panic!("Shutdown unanswered 30 s after the pump parked idle");
+    };
+    let reports = reports.expect("shutdown");
+    handle.wait().expect("gateway join");
+    assert_eq!(
+        reports, expected,
+        "the drain must carry every stream's full report"
+    );
+}
+
+#[test]
 fn saturated_session_receives_busy_and_queue_never_grows() {
     let handle = Gateway::start(gateway_config(4, 16, 1)).expect("gateway");
     let mut client = handle.client().expect("client");
